@@ -5,17 +5,11 @@
 //! (generated and saved on the first run, decoded on every later one); the
 //! tables are bit-identical either way.
 
-use permadead_bench::{Repro, WorldRepro};
+use permadead_bench::WorldRepro;
 
 fn main() {
-    let studies = match WorldRepro::from_env_cache() {
-        Some(repro) => [repro.march_study(), repro.september_study()],
-        None => {
-            let repro = Repro::from_env();
-            [repro.march_study(), repro.september_study()]
-        }
-    };
-    for study in studies {
+    let repro = WorldRepro::from_env();
+    for study in [repro.march_study(), repro.september_study()] {
         println!("{}", study.report().render_comparison());
         println!();
     }

@@ -48,7 +48,7 @@ fn main() {
     let t0 = Instant::now();
     let world = World::load(&path).expect("snapshot loads");
     let load_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let repro = permadead_bench::WorldRepro::over(world);
+    let repro = permadead_bench::WorldRepro::from_world(world);
     let links = repro.march.len();
 
     // 4. full study over the loaded world

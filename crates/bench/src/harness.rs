@@ -59,22 +59,9 @@ impl Repro {
             scenario.wiki.len(),
             scenario.permanently_dead_urls().len(),
         );
-        // The paper crawls the first 10,000 category articles; our category
-        // is smaller, so take ~60% of it alphabetically for the March
-        // flavour and sample from everywhere for September.
-        let category_size = scenario.wiki.permanently_dead_category().len();
-        let march_articles = (category_size * 6 / 10).max(1);
-        let march = Dataset::alphabetical(
-            &scenario.wiki,
-            march_articles,
-            scenario.config.sample_size,
-            scenario.config.seed ^ 0xA1,
-        );
-        let september = Dataset::random(
-            &scenario.wiki,
-            scenario.config.sample_size,
-            scenario.config.seed ^ 0xB2,
-        );
+        let (sample, seed) = (scenario.config.sample_size, scenario.config.seed);
+        let march = Dataset::march(&scenario.wiki, sample, seed);
+        let september = Dataset::september(&scenario.wiki, sample, seed);
         eprintln!(
             "[permadead] datasets: march={} links, september={} links",
             march.len(),
@@ -146,8 +133,8 @@ impl Repro {
     }
 }
 
-/// A snapshot-backed repro: web + archive + datasets decoded from a world
-/// snapshot instead of replayed through generation. The worldstore
+/// A [`World`]-backed repro: web + archive + datasets decoded from a lowered
+/// world, generated in memory or loaded from a snapshot. The worldstore
 /// determinism contract makes its studies bit-identical to [`Repro`]'s;
 /// only generation ground truth (the wiki, specs, bot reports) is absent,
 /// so figure binaries that read those keep using [`Repro`].
@@ -158,23 +145,30 @@ pub struct WorldRepro {
 }
 
 impl WorldRepro {
-    /// When `PERMADEAD_WORLD_CACHE` names a snapshot directory, satisfy the
-    /// `(PERMADEAD_SEED, PERMADEAD_SCALE)` world from it — loading on a hit,
-    /// generating and saving on a miss — and print the cache outcome with
-    /// its load time. `None` when the env var is unset, so callers fall
-    /// back to plain generation.
-    pub fn from_env_cache() -> Option<WorldRepro> {
-        let dir = std::env::var_os("PERMADEAD_WORLD_CACHE")?;
+    /// The `(PERMADEAD_SEED, PERMADEAD_SCALE)` world. When
+    /// `PERMADEAD_WORLD_CACHE` names a snapshot directory it comes from
+    /// there — loaded on a hit, generated and saved on a miss — and the cache
+    /// outcome is printed with its load time; otherwise it is generated and
+    /// lowered in memory. The studies are bit-identical either way.
+    pub fn from_env() -> WorldRepro {
         let (scale, cfg) = config_from_env();
+        let Some(dir) = std::env::var_os("PERMADEAD_WORLD_CACHE") else {
+            eprintln!(
+                "[permadead] generating world: {} rot links, seed {} ...",
+                cfg.rot_links, cfg.seed
+            );
+            let world = permadead_serve::lower(Scenario::generate(cfg), &scale);
+            return WorldRepro::from_world(world);
+        };
         let (world, outcome) =
             permadead_serve::load_or_generate(std::path::Path::new(&dir), cfg, &scale)
                 .expect("world cache directory is usable");
         eprintln!("[permadead] {}", outcome.describe());
-        Some(WorldRepro::over(world))
+        WorldRepro::from_world(world)
     }
 
     /// Decode the datasets out of an already-obtained world.
-    pub fn over(world: World) -> WorldRepro {
+    pub fn from_world(world: World) -> WorldRepro {
         let march = Dataset::from_table(&world.march, &world.interner);
         let september = Dataset::from_table(&world.september, &world.interner);
         WorldRepro { world, march, september }

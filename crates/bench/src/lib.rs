@@ -2,7 +2,8 @@
 //!
 //! Every `repro_*` binary regenerates one figure or table from the paper:
 //! build the scenario, collect the dataset(s), run the pipeline, print the
-//! series. All of them go through [`harness::Repro`] so that the same world
+//! series. All of them go through [`harness::Repro`] (or, when they need no
+//! generation ground truth, [`harness::WorldRepro`]) so that the same world
 //! (same seed, same scale) backs every figure — exactly like the paper's
 //! single March dataset backs all of its analyses.
 //!

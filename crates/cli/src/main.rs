@@ -23,10 +23,12 @@ mod export;
 
 use args::Args;
 use permadead_core::{Dataset, Study, StudyOptions};
+use permadead_rescue::RescueIndex;
 use permadead_sim::{Scenario, ScenarioConfig};
 use permadead_stats::{percentile, render_bar_chart, render_cdf, Cdf};
 use permadead_worldstore::World;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -152,79 +154,41 @@ fn config_from(args: &Args) -> Result<(&'static str, ScenarioConfig), Box<dyn st
     Ok((scale, cfg))
 }
 
-/// The world a command runs over: freshly generated, or decoded from a
-/// `--world-cache` snapshot. The worldstore determinism contract makes the
-/// two answer every audit question identically; only generation ground
-/// truth (wiki articles, bot reports) is missing from a snapshot, which is
-/// why `bots` keeps its own [`scenario_from`] path.
-enum CliWorld {
-    Generated(Box<Scenario>),
-    Snapshot(Box<World>),
-}
-
-impl CliWorld {
-    fn web(&self) -> &permadead_web::LiveWeb {
-        match self {
-            CliWorld::Generated(s) => &s.web,
-            CliWorld::Snapshot(w) => &w.web,
-        }
-    }
-
-    fn archive(&self) -> &permadead_archive::ArchiveStore {
-        match self {
-            CliWorld::Generated(s) => &s.archive,
-            CliWorld::Snapshot(w) => &w.archive,
-        }
-    }
-
-    fn study_time(&self) -> permadead_net::SimTime {
-        match self {
-            CliWorld::Generated(s) => s.config.study_time,
-            CliWorld::Snapshot(w) => w.meta.study_time,
-        }
-    }
-
-    /// The batch dataset `audit`, `watch`, and `serve` share: recomputed
-    /// from the wiki for a generated world, decoded from the interned march
-    /// table for a snapshot.
-    fn march_dataset(&self) -> Dataset {
-        match self {
-            CliWorld::Generated(s) => march_dataset(s),
-            CliWorld::Snapshot(w) => Dataset::from_table(&w.march, &w.interner),
-        }
-    }
-
-    /// The rediscovery index for this world: decoded from the snapshot when
-    /// it carries one, otherwise built from the live web. The sharded build
-    /// is bit-identical for every worker count, so the two paths agree.
-    fn rescue_index(&self, jobs: usize) -> std::sync::Arc<permadead_rescue::RescueIndex> {
-        if let CliWorld::Snapshot(w) = self {
-            if let Some(index) = &w.rescue {
-                return std::sync::Arc::new(index.clone());
-            }
-        }
-        let jobs = match jobs {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        };
-        std::sync::Arc::new(permadead_rescue::RescueIndex::build(
-            self.web(),
-            self.study_time(),
-            jobs,
-        ))
-    }
-}
-
-/// Build the command's world, honouring `--world-cache DIR`.
-fn world_from(args: &Args) -> Result<CliWorld, Box<dyn std::error::Error>> {
-    let Some(dir) = args.get("world-cache") else {
-        return Ok(CliWorld::Generated(Box::new(scenario_from(args)?)));
-    };
+/// Build the command's world: generated and lowered, or satisfied from a
+/// `--world-cache DIR` snapshot (loaded on a hit, generated and saved on a
+/// miss). Both answer every audit question identically; only generation
+/// ground truth (wiki articles, bot reports) is missing from a [`World`],
+/// which is why `bots` keeps its own [`scenario_from`] path.
+fn world_from(args: &Args) -> Result<World, Box<dyn std::error::Error>> {
     let (scale, cfg) = config_from(args)?;
+    let Some(dir) = args.get("world-cache") else {
+        return Ok(permadead_serve::lower(scenario_from(args)?, scale));
+    };
     let (world, outcome) =
         permadead_serve::load_or_generate(std::path::Path::new(dir), cfg, scale)?;
     eprintln!("[permadead] {}", outcome.describe());
-    Ok(CliWorld::Snapshot(Box::new(world)))
+    Ok(world)
+}
+
+/// The batch dataset `audit`, `watch`, and `serve` share: the world's
+/// interned March table.
+fn march_of(world: &World) -> Dataset {
+    Dataset::from_table(&world.march, &world.interner)
+}
+
+/// The rediscovery index for `world`: moved out of it when a snapshot
+/// carried one, so no caller holds a second copy, otherwise built from the
+/// live web. The sharded build is bit-identical for every worker count, so
+/// the two paths agree.
+fn take_rescue_index(world: &mut World, jobs: usize) -> Arc<RescueIndex> {
+    if let Some(index) = world.rescue.take() {
+        return Arc::new(index);
+    }
+    let jobs = match jobs {
+        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        n => n,
+    };
+    Arc::new(RescueIndex::build(&world.web, world.meta.study_time, jobs))
 }
 
 /// Retry policy from `--retries` / `--retry-budget-ms`. One attempt — the
@@ -283,29 +247,17 @@ fn rediscovery_from(args: &Args) -> Result<bool, Box<dyn std::error::Error>> {
     }
 }
 
-/// The batch dataset `audit` and `serve` share: 60% of the category,
-/// alphabetical, sample-capped, seeded `seed ^ 0xA1`.
-fn march_dataset(scenario: &Scenario) -> Dataset {
-    let category = scenario.wiki.permanently_dead_category().len();
-    Dataset::alphabetical(
-        &scenario.wiki,
-        (category * 6 / 10).max(1),
-        scenario.config.sample_size,
-        scenario.config.seed ^ 0xA1,
-    )
-}
-
 fn march_study(
-    world: &CliWorld,
+    world: &World,
     jobs: usize,
     retry: permadead_net::RetryPolicy,
-    rescue: Option<std::sync::Arc<permadead_rescue::RescueIndex>>,
+    rescue: Option<Arc<RescueIndex>>,
 ) -> Study {
     Study::run_with(
-        world.web(),
-        world.archive(),
-        &world.march_dataset(),
-        world.study_time(),
+        &world.web,
+        &world.archive,
+        &march_of(world),
+        world.meta.study_time,
         StudyOptions::with_jobs(jobs).with_retry(retry).with_rescue(rescue),
     )
 }
@@ -313,19 +265,19 @@ fn march_study(
 fn cmd_audit(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let retry = retry_policy_from(args)?;
     let rediscovery = rediscovery_from(args)?;
-    let world = world_from(args)?;
+    let mut world = world_from(args)?;
     let jobs = args.get_usize("jobs", 1)?;
-    let rescue = rediscovery.then(|| world.rescue_index(jobs));
+    let rescue = rediscovery.then(|| take_rescue_index(&mut world, jobs));
     if let Some(index) = &rescue {
         eprintln!("[permadead] rediscovery index ready: {} pages", index.len());
     }
     // snapshot the cost counters so we report what the *pipeline* spends,
     // not what world generation (or snapshot decoding) spent
-    let web_before = world.web().metrics.snapshot();
-    let archive_lookups_before = world.archive().lookups.get();
-    let archive_rows_before = world.archive().rows_scanned.get();
+    let web_before = world.web.metrics.snapshot();
+    let archive_lookups_before = world.archive.lookups.get();
+    let archive_rows_before = world.archive.rows_scanned.get();
     let study = march_study(&world, jobs, retry, rescue);
-    let web_cost = world.web().metrics.snapshot().diff(&web_before);
+    let web_cost = world.web.metrics.snapshot().diff(&web_before);
     println!("{}", render_bar_chart("Figure 4 — live status today", &study.live_breakdown()));
     let report = study.report();
     println!("{}", report.render_comparison());
@@ -333,8 +285,8 @@ fn cmd_audit(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "measurement cost: live web {}; archive index: {} scans touching {} rows",
         web_cost.summary(),
-        world.archive().lookups.get() - archive_lookups_before,
-        world.archive().rows_scanned.get() - archive_rows_before,
+        world.archive.lookups.get() - archive_lookups_before,
+        world.archive.rows_scanned.get() - archive_rows_before,
     );
     if let Some(path) = args.get("csv") {
         std::fs::write(path, export::study_to_csv(&study))?;
@@ -345,18 +297,18 @@ fn cmd_audit(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("[permadead] wrote {} stage rows to {path}", study.stage_stats.len());
     }
     if let Some(path) = args.get("cdx") {
-        std::fs::write(path, permadead_archive::to_cdx_string(world.archive()))?;
+        std::fs::write(path, permadead_archive::to_cdx_string(&world.archive))?;
         eprintln!(
             "[permadead] wrote {} snapshots to {path}",
-            world.archive().len()
+            world.archive.len()
         );
     }
     if args.get("retry-table").is_some() {
         let max = u32::try_from(args.get_u64("retry-table", 5)?)
             .map_err(|_| "flag --retry-table must fit in 32 bits")?;
-        let ds = world.march_dataset();
+        let ds = march_of(&world);
         let rows = permadead_core::retry_counterfactual(
-            world.archive(),
+            &world.archive,
             &ds,
             permadead_core::IABOT_TIMEOUT_MS,
             args.get_u64("seed", 42)? ^ 0x5EC41,
@@ -433,7 +385,7 @@ fn cmd_recommend(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let world = world_from(args)?;
     let limit = args.get_usize("limit", 10)?;
     let study = march_study(&world, args.get_usize("jobs", 1)?, retry_policy_from(args)?, None);
-    let recs = permadead_core::recommendations(&study, world.archive());
+    let recs = permadead_core::recommendations(&study, &world.archive);
     println!(
         "{} tagged links analyzed; {} actionable recommendations:\n",
         study.len(),
@@ -502,8 +454,8 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         },
         ..config
     };
-    let world = world_from(args)?;
-    let rescue = rediscovery.then(|| world.rescue_index(config.workers));
+    let mut world = world_from(args)?;
+    let rescue = rediscovery.then(|| take_rescue_index(&mut world, config.workers));
     if let Some(index) = &rescue {
         eprintln!("[permadead] rediscovery index ready: {} pages", index.len());
     }
@@ -516,13 +468,10 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         cache.shards,
         retry.max_attempts,
     );
-    let service = match world {
-        CliWorld::Generated(scenario) => permadead_serve::AuditService::over(*scenario, cache),
-        CliWorld::Snapshot(w) => permadead_serve::AuditService::from_world(*w, cache),
-    }
-    .with_retry(retry)
-    .with_origin_retry_budget_ms(origin_budget_ms)
-    .with_rescue(rescue);
+    let service = permadead_serve::AuditService::from_world(world, cache)
+        .with_retry(retry)
+        .with_origin_retry_budget_ms(origin_budget_ms)
+        .with_rescue(rescue);
     let handle = permadead_serve::start(service, config)?;
     // the exact line scripts/check.sh greps for the ephemeral port
     println!("listening on {}", handle.addr());
@@ -560,19 +509,19 @@ fn cmd_watch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     };
     let retry = retry_policy_from(args)?;
     let rediscovery = rediscovery_from(args)?;
-    let world = world_from(args)?;
-    let start = world.study_time();
+    let mut world = world_from(args)?;
+    let start = world.meta.study_time;
 
     let mut sched = Scheduler::new(SchedulerConfig {
         policy,
         cadence,
         host_budget_per_day: host_budget,
     });
-    for entry in &world.march_dataset().entries {
+    for entry in &march_of(&world).entries {
         sched.watch_staggered(entry.url.clone(), start);
     }
     eprintln!("[permadead] watching {} links for {days} simulated days…", sched.len());
-    let web = world.web();
+    let web = &world.web;
     let timeline = permadead_sched::run_days(&mut sched, start, days, jobs, |url, at| {
         permadead_core::live_check_with_retry(web, url, at, &retry)
             .0
@@ -588,7 +537,7 @@ fn cmd_watch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     // lexical-signature index would relocate today. Off by default, so the
     // seed-42 timeline golden in scripts/check.sh is untouched.
     if rediscovery {
-        let rescue = world.rescue_index(jobs);
+        let rescue = take_rescue_index(&mut world, jobs);
         let pages = rescue.len();
         let study = march_study(&world, jobs, retry, Some(rescue));
         let report = study.report();
@@ -621,4 +570,26 @@ fn cmd_bots(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         wiki.unique_permanently_dead_urls().len()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tiny_world() -> World {
+        let cfg = ScenarioConfig { rot_links: 40, ..ScenarioConfig::small(7) };
+        permadead_serve::world_from_scenario(Scenario::generate(cfg), "small")
+    }
+
+    #[test]
+    fn rescue_index_moves_out_of_the_world() {
+        let mut world = tiny_world();
+        let stored = world.rescue.clone().expect("a lowered snapshot world carries an index");
+        let index = take_rescue_index(&mut world, 1);
+        assert!(world.rescue.is_none(), "the world must not keep a second copy");
+        assert_eq!(*index, stored);
+        // an index-free world gets the same index built from its web
+        let rebuilt = take_rescue_index(&mut world, 2);
+        assert_eq!(*rebuilt, stored);
+    }
 }

@@ -224,6 +224,16 @@ fn audit_world_cache_miss_then_hit_prints_the_same_report() {
         findings_only(&second.stdout),
         "a snapshot-backed audit must print the generated audit's exact report"
     );
+    // and without --world-cache at all: the in-memory lowered world prints
+    // the snapshot-backed report too
+    let uncached = bin().args(["audit", "--seed", "3"]).output().expect("binary runs");
+    assert!(uncached.status.success(), "stderr: {}", String::from_utf8_lossy(&uncached.stderr));
+    assert!(!String::from_utf8_lossy(&uncached.stderr).contains("world cache"));
+    assert_eq!(
+        findings_only(&uncached.stdout),
+        findings_only(&second.stdout),
+        "an uncached audit must print the snapshot-backed audit's exact report"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -70,6 +70,21 @@ impl Dataset {
         }
     }
 
+    /// The reproduction's March dataset, the one `audit`, `serve`, `watch`
+    /// and the world snapshot all share. The paper crawls the first 10,000
+    /// category articles; our category is smaller, so take 60% of it
+    /// alphabetically, cap at `sample_size`, and sample with `seed ^ 0xA1`.
+    pub fn march(wiki: &WikiStore, sample_size: usize, seed: u64) -> Dataset {
+        let category = wiki.permanently_dead_category().len();
+        Dataset::alphabetical(wiki, (category * 6 / 10).max(1), sample_size, seed ^ 0xA1)
+    }
+
+    /// The reproduction's September dataset: a wiki-wide random sample of
+    /// `sample_size`, seeded `seed ^ 0xB2`.
+    pub fn september(wiki: &WikiStore, sample_size: usize, seed: u64) -> Dataset {
+        Dataset::random(wiki, sample_size, seed ^ 0xB2)
+    }
+
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -268,6 +283,21 @@ mod tests {
         assert!(arts.contains("Article 000"));
         assert!(arts.contains("Article 002"));
         assert!(!arts.contains("Article 005"));
+    }
+
+    #[test]
+    fn march_and_september_pin_the_study_rule() {
+        // 10 category articles: March reads the first 6, September all 10
+        let w = wiki(10);
+        let march = Dataset::march(&w, 4, 7);
+        assert_eq!(march.entries, Dataset::alphabetical(&w, 6, 4, 7 ^ 0xA1).entries);
+        let uncapped = Dataset::march(&w, 100, 7);
+        assert_eq!(uncapped.len(), 6);
+        assert!(uncapped.entries.iter().all(|e| e.article.as_str() < "Article 006"));
+        let september = Dataset::september(&w, 4, 7);
+        assert_eq!(september.entries, Dataset::random(&w, 4, 7 ^ 0xB2).entries);
+        // a one-article category still yields a one-article March crawl
+        assert_eq!(Dataset::march(&wiki(1), 100, 7).len(), 1);
     }
 
     #[test]

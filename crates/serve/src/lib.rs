@@ -22,14 +22,17 @@
 //! - an incremental re-audit engine fed by the scheduler's dirty set: one
 //!   flipped watched link re-runs one link, and `GET /report` serves the
 //!   maintained study aggregate ([`server`]);
-//! - scenario → world-snapshot composition and the on-disk world cache
-//!   behind `--world-cache` ([`worldcache`]).
+//! - one world handle: the service holds a [`permadead_worldstore::World`],
+//!   either lowered from a freshly generated scenario ([`lower`]) or loaded
+//!   from a snapshot, and the on-disk world cache behind `--world-cache`
+//!   ([`worldcache`]).
 //!
 //! ```no_run
-//! use permadead_serve::{start, AuditService, CacheConfig, ServerConfig};
-//! use permadead_sim::ScenarioConfig;
+//! use permadead_serve::{lower, start, AuditService, CacheConfig, ServerConfig};
+//! use permadead_sim::{Scenario, ScenarioConfig};
 //!
-//! let service = AuditService::new(ScenarioConfig::small(42), CacheConfig::default());
+//! let world = lower(Scenario::generate(ScenarioConfig::small(42)), "small");
+//! let service = AuditService::from_world(world, CacheConfig::default());
 //! let handle = start(service, ServerConfig::default()).unwrap();
 //! println!("listening on {}", handle.addr());
 //! ```
@@ -51,4 +54,4 @@ pub use metrics::ServeMetrics;
 pub use origin::OriginLedger;
 pub use server::{start, ServerConfig, ServerHandle, WatchConfig};
 pub use service::{AuditService, CheckOutcome, Provenance};
-pub use worldcache::{load_or_generate, world_from_scenario, WorldCacheOutcome};
+pub use worldcache::{load_or_generate, lower, world_from_scenario, WorldCacheOutcome};

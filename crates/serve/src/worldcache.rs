@@ -1,13 +1,13 @@
 //! Scenario → [`World`] composition and the on-disk world cache.
 //!
 //! `permadead-sim` deliberately knows nothing about `core`'s datasets or
-//! `worldstore`'s tables, so lowering a generated scenario into a savable
-//! [`World`] lives here, in the lowest crate that depends on all three. The
-//! dataset formulas are exactly the audit/serve ones — march = 60% of the
-//! category, alphabetical, sample-capped, seed `^ 0xA1`; september = random
-//! sample, seed `^ 0xB2`; all-tagged = every IABot-tagged URL — so a
-//! snapshot-backed [`AuditService`](crate::AuditService) answers
-//! bit-identically to a generated one.
+//! `worldstore`'s tables, so lowering a generated scenario into a [`World`]
+//! lives here, in the lowest crate that depends on all three. Every runtime
+//! path holds a `World`: generation is `Scenario::generate` → [`lower`],
+//! a snapshot is `World::load`. The link tables are
+//! [`Dataset::march`], [`Dataset::september`] and every IABot-tagged URL, so
+//! a service over a lowered world and one over its reloaded snapshot answer
+//! bit-identically.
 //!
 //! [`load_or_generate`] is the `--world-cache` entry point the CLI and the
 //! repro binaries share: hit → decode the snapshot (no wiki replay at all);
@@ -15,27 +15,20 @@
 //! time.
 
 use permadead_core::Dataset;
+use permadead_rescue::RescueIndex;
 use permadead_sim::{Scenario, ScenarioConfig};
 use permadead_worldstore::{Interner, World, WorldMeta};
 use std::path::{Path, PathBuf};
 
-/// Lower a fully generated scenario into a savable [`World`]. Consumes the
-/// scenario: the web and archive move into the world unchanged, the wiki is
-/// reduced to the three link tables, and ground truth (`specs`,
-/// `bot_reports`) is dropped — a snapshot answers audits, not calibration.
-pub fn world_from_scenario(scenario: Scenario, scale: &str) -> World {
-    let category = scenario.wiki.permanently_dead_category().len();
-    let march = Dataset::alphabetical(
-        &scenario.wiki,
-        (category * 6 / 10).max(1),
-        scenario.config.sample_size,
-        scenario.config.seed ^ 0xA1,
-    );
-    let september = Dataset::random(
-        &scenario.wiki,
-        scenario.config.sample_size,
-        scenario.config.seed ^ 0xB2,
-    );
+/// Lower a fully generated scenario into a [`World`] without a rescue
+/// index. Consumes the scenario: the web and archive move into the world
+/// unchanged, the wiki is reduced to the three link tables, and ground
+/// truth (`specs`, `bot_reports`) is dropped — a world answers audits, not
+/// calibration.
+pub fn lower(scenario: Scenario, scale: &str) -> World {
+    let config = &scenario.config;
+    let march = Dataset::march(&scenario.wiki, config.sample_size, config.seed);
+    let september = Dataset::september(&scenario.wiki, config.sample_size, config.seed);
     let all = Dataset::random(&scenario.wiki, usize::MAX, 0);
 
     let mut interner = Interner::new();
@@ -44,28 +37,28 @@ pub fn world_from_scenario(scenario: Scenario, scale: &str) -> World {
     let all = all.to_table(&mut interner);
 
     let meta = WorldMeta {
-        seed: scenario.config.seed,
+        seed: config.seed,
         scale: scale.to_string(),
-        rot_links: scenario.config.rot_links as u32,
-        sample_size: scenario.config.sample_size as u32,
-        study_time: scenario.config.study_time,
-        random_sample_time: scenario.config.random_sample_time,
+        rot_links: config.rot_links as u32,
+        sample_size: config.sample_size as u32,
+        study_time: config.study_time,
+        random_sample_time: config.random_sample_time,
         // the builder's derivation (simgen keys page content off the
         // scenario seed); recorded so `World::load` re-aims `LiveWeb::new`
-        content_seed: scenario.config.seed ^ 0xC0FFEE,
+        content_seed: config.seed ^ 0xC0FFEE,
     };
-    // Index the live web's reachable pages at study time so a snapshot-backed
-    // service can run the rediscovery stage without regenerating the
-    // scenario. The build is bit-identical for any worker count, so the
-    // snapshot bytes stay deterministic.
-    let jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let rescue = permadead_rescue::RescueIndex::build(
-        &scenario.web,
-        scenario.config.study_time,
-        jobs,
-    );
     World::assemble(meta, scenario.web, scenario.archive, interner, march, september, all)
-        .with_rescue(rescue)
+}
+
+/// [`lower`], plus the live web's reachable pages at study time indexed for
+/// rediscovery, so a snapshot-backed service can run the rediscovery stage
+/// without regenerating the scenario. The build is bit-identical for any
+/// worker count, so the snapshot bytes stay deterministic.
+pub fn world_from_scenario(scenario: Scenario, scale: &str) -> World {
+    let world = lower(scenario, scale);
+    let jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let rescue = RescueIndex::build(&world.web, world.meta.study_time, jobs);
+    world.with_rescue(rescue)
 }
 
 /// Where a `(seed, scale)` world lives inside a cache directory.
@@ -287,6 +280,15 @@ mod tests {
         assert!(notice.contains("header mismatch"), "{notice}");
         assert!(notice.contains("seed 7") && notice.contains("seed 8"), "{notice}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn world_from_scenario_is_lower_plus_the_rescue_index() {
+        let bare = lower(Scenario::generate(cfg()), "small");
+        assert!(bare.rescue.is_none(), "lowering alone builds no index");
+        let indexed = world_from_scenario(Scenario::generate(cfg()), "small");
+        let rescue = RescueIndex::build(&bare.web, bare.meta.study_time, 1);
+        assert_eq!(bare.with_rescue(rescue).to_bytes(), indexed.to_bytes());
     }
 
     #[test]

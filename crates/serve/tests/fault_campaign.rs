@@ -19,7 +19,7 @@
 
 use permadead_net::fault::FaultProfile;
 use permadead_net::RetryPolicy;
-use permadead_serve::{start, AuditService, CacheConfig, ServerConfig, ServerHandle};
+use permadead_serve::{lower, start, AuditService, CacheConfig, ServerConfig, ServerHandle};
 use permadead_sim::{Scenario, ScenarioConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -148,12 +148,8 @@ fn origin_retry_budget_exhausts_only_for_the_flapping_host() {
     // pick two dataset URLs on distinct, resolving origins
     let probe = Scenario::generate(world_config());
     let study = probe.config.study_time;
-    let dataset = permadead_core::Dataset::alphabetical(
-        &probe.wiki,
-        (probe.wiki.permanently_dead_category().len() * 6 / 10).max(1),
-        probe.config.sample_size,
-        probe.config.seed ^ 0xA1,
-    );
+    let dataset =
+        permadead_core::Dataset::march(&probe.wiki, probe.config.sample_size, probe.config.seed);
     let mut hosts: Vec<String> = Vec::new();
     for e in &dataset.entries {
         let host = e.url.host().to_string();
@@ -174,7 +170,7 @@ fn origin_retry_budget_exhausts_only_for_the_flapping_host() {
     );
     // budget 1ms: the first probe that schedules any backoff at all exhausts
     // the flapping origin; every later check against it is refused + counted
-    let service = AuditService::over(scenario, CacheConfig::default())
+    let service = AuditService::from_world(lower(scenario, "small"), CacheConfig::default())
         .with_retry(RetryPolicy::standard(4, RETRY_SEED))
         .with_origin_retry_budget_ms(Some(1));
     let server = spawn(service);
@@ -252,12 +248,15 @@ fn fault_campaign_retries_bound_verdict_flips_and_counters_match_exactly() {
     // ---- servers B and C: identical faulted worlds ------------------------
     let mut scenario_b = Scenario::generate(world_config());
     inject_faults(&mut scenario_b, &targets);
-    let b = spawn(AuditService::over(scenario_b, CacheConfig::default()));
+    let b = spawn(AuditService::from_world(lower(scenario_b, "small"), CacheConfig::default()));
 
     let retry = RetryPolicy::standard(4, RETRY_SEED);
     let mut scenario_c = Scenario::generate(world_config());
     inject_faults(&mut scenario_c, &targets);
-    let c = spawn(AuditService::over(scenario_c, CacheConfig::default()).with_retry(retry));
+    let c = spawn(
+        AuditService::from_world(lower(scenario_c, "small"), CacheConfig::default())
+            .with_retry(retry),
+    );
 
     let statuses_b: Vec<String> =
         targets.iter().map(|(u, _)| live_status_of(&check(b.addr(), u))).collect();
@@ -307,7 +306,7 @@ fn fault_campaign_retries_bound_verdict_flips_and_counters_match_exactly() {
     for (url, _) in &targets {
         let parsed = permadead_url::Url::parse(url).unwrap();
         let (_, outcome) = permadead_core::live_check_with_retry(
-            &c.service().scenario().web,
+            &c.service().world().web,
             &parsed,
             study,
             &retry,

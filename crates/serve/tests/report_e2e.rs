@@ -8,7 +8,7 @@ use permadead_core::{live_check, Dataset};
 use permadead_net::fault::{Fault, FaultProfile};
 use permadead_net::Duration;
 use permadead_sched::{Cadence, PolicySpec};
-use permadead_serve::{start, AuditService, CacheConfig, ServerConfig, WatchConfig};
+use permadead_serve::{lower, start, AuditService, CacheConfig, ServerConfig, WatchConfig};
 use permadead_sim::{Scenario, ScenarioConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -92,15 +92,10 @@ fn watch_flip_updates_the_incremental_report_by_exactly_one_link() {
     let study = scenario.config.study_time;
 
     // Find a batch-dataset link that answers 200 at study time — the same
-    // dataset formula the service builds, so the watched URL resolves to a
+    // March dataset the service serves, so the watched URL resolves to a
     // dataset index and has a memoized finding to maintain.
-    let category = scenario.wiki.permanently_dead_category().len();
-    let dataset = Dataset::alphabetical(
-        &scenario.wiki,
-        (category * 6 / 10).max(1),
-        scenario.config.sample_size,
-        scenario.config.seed ^ 0xA1,
-    );
+    let dataset =
+        Dataset::march(&scenario.wiki, scenario.config.sample_size, scenario.config.seed);
     let target = dataset
         .entries
         .iter()
@@ -121,7 +116,7 @@ fn watch_flip_updates_the_incremental_report_by_exactly_one_link() {
     assert!(live_check(&scenario.web, &target, study).is_final_200());
     assert!(!live_check(&scenario.web, &target, dark_from).is_final_200());
 
-    let service = AuditService::over(scenario, CacheConfig::default());
+    let service = AuditService::from_world(lower(scenario, "small"), CacheConfig::default());
     let handle = start(
         service,
         ServerConfig {

@@ -12,7 +12,7 @@ use permadead_core::live_check;
 use permadead_net::fault::{Fault, FaultProfile};
 use permadead_net::Duration;
 use permadead_sched::{Cadence, PolicySpec};
-use permadead_serve::{start, AuditService, CacheConfig, ServerConfig, WatchConfig};
+use permadead_serve::{lower, start, AuditService, CacheConfig, ServerConfig, WatchConfig};
 use permadead_sim::{Scenario, ScenarioConfig};
 use permadead_url::Url;
 use std::io::{Read, Write};
@@ -112,7 +112,7 @@ fn watched_link_flaps_through_tag_and_revival_with_counter_parity() {
     assert!(!live_check(&scenario.web, &target, dark_from).is_final_200());
     assert!(live_check(&scenario.web, &target, dark_to).is_final_200(), "window is half-open");
 
-    let service = AuditService::over(scenario, CacheConfig::default());
+    let service = AuditService::from_world(lower(scenario, "small"), CacheConfig::default());
     let handle = start(
         service,
         ServerConfig {

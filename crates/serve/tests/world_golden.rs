@@ -14,13 +14,7 @@ fn pinned_seed_snapshot_round_trip_reproduces_the_generated_audit() {
     let scenario = Scenario::generate(cfg.clone());
 
     // the direct path: generate → audit
-    let category = scenario.wiki.permanently_dead_category().len();
-    let march = Dataset::alphabetical(
-        &scenario.wiki,
-        (category * 6 / 10).max(1),
-        cfg.sample_size,
-        cfg.seed ^ 0xA1,
-    );
+    let march = Dataset::march(&scenario.wiki, cfg.sample_size, cfg.seed);
     let direct = Study::run_with(
         &scenario.web,
         &scenario.archive,

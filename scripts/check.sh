@@ -10,6 +10,12 @@ cargo build --offline --benches
 cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# The benchmark lives outside the workspace, so the workspace build never
+# compiles it: build and unit-test it here so a serve or core API change
+# that breaks it fails the gate.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Serve smoke test: start the service on an ephemeral port, probe every
 # user-facing endpoint with the std-only client, and shut down cleanly.
 # No curl, no python — serve-probe is built from crates/serve/src/bin.
