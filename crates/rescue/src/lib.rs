@@ -24,12 +24,13 @@
 //! ## Determinism
 //!
 //! The index is a pure function of `(web, t)`: sites are walked in `SiteId`
-//! order, sharded into contiguous chunks across workers with the same
-//! `crossbeam::scope` idiom as `core::pipeline`, and joined in spawn order,
-//! so the entry list — and therefore every posting and every query answer —
-//! is bit-identical for any `--jobs`. Postings are rebuilt from the entry
-//! list on snapshot load ([`RescueIndex::from_entries`]), which is why only
-//! entries are serialized by `worldstore`.
+//! order and cut into contiguous chunks, `16 × jobs` of them, which workers
+//! claim from a shared cursor (site sizes are Zipf, so equal shards would
+//! leave one worker with most of the pages). Chunks are concatenated in
+//! chunk order, so the entry list — and therefore every posting and every
+//! query answer — is bit-identical for any `--jobs`. Postings are rebuilt
+//! from the entry list on snapshot load ([`RescueIndex::from_entries`]),
+//! which is why only entries are serialized by `worldstore`.
 
 use permadead_net::{SimTime, StatusCode};
 use permadead_text::gen::fnv1a;
@@ -38,6 +39,7 @@ use permadead_text::MinHashSketch;
 use permadead_web::page::PathView;
 use permadead_web::{LiveWeb, Site};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Word-level shingle size for page-body sketches — must match
 /// `Snapshot::from_observation` (k = 5) so archived fingerprints and index
@@ -51,6 +53,10 @@ pub const TITLE_THRESHOLD: f64 = 0.5;
 
 /// Minimum body-sketch similarity for a validated rediscovery.
 pub const SKETCH_THRESHOLD: f64 = 0.6;
+
+/// Chunks per worker in [`RescueIndex::build`]: enough that the Zipf head's
+/// big sites do not leave the other workers idle.
+const CHUNKS_PER_JOB: usize = 16;
 
 /// Default number of candidates a query returns.
 pub const DEFAULT_TOP_K: usize = 5;
@@ -116,27 +122,42 @@ impl RescueIndex {
         let entries = if jobs == 1 {
             sites.iter().flat_map(|s| index_site(web, s, t)).collect()
         } else {
-            let chunk = sites.len().div_ceil(jobs);
-            crossbeam::scope(|scope| {
-                let handles: Vec<_> = sites
-                    .chunks(chunk)
-                    .map(|shard| {
-                        scope.spawn(move |_| {
-                            shard
-                                .iter()
-                                .flat_map(|s| index_site(web, s, t))
-                                .collect::<Vec<RescueEntry>>()
+            // Site sizes are Zipf, so equal-count shards leave one worker
+            // with most of the pages: hand out many small chunks instead.
+            let chunk = sites.len().div_ceil(jobs * CHUNKS_PER_JOB);
+            let shards: Vec<&[&Site]> = sites.chunks(chunk).collect();
+            // Relaxed: the cursor only hands out chunk indices; entries come
+            // back through `join`
+            let cursor = AtomicUsize::new(0);
+            let mut indexed: Vec<(usize, Vec<RescueEntry>)> = crossbeam::scope(|scope| {
+                let workers: Vec<_> = (0..jobs)
+                    .map(|_| {
+                        scope.spawn(|_| {
+                            let mut done = Vec::new();
+                            loop {
+                                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                                let Some(shard) = shards.get(i) else {
+                                    return done;
+                                };
+                                let entries =
+                                    shard.iter().flat_map(|s| index_site(web, s, t)).collect();
+                                done.push((i, entries));
+                            }
                         })
                     })
                     .collect();
-                let mut all = Vec::new();
-                // joining in spawn (= chunk) order restores SiteId order
-                for handle in handles {
-                    all.extend(handle.join().expect("index worker panicked"));
-                }
-                all
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().expect("index worker panicked"))
+                    .collect()
             })
-            .expect("index scope panicked")
+            .expect("index scope panicked");
+            // concatenating in chunk order restores SiteId order
+            indexed.sort_unstable_by_key(|&(i, _)| i);
+            indexed
+                .into_iter()
+                .flat_map(|(_, entries)| entries)
+                .collect()
         };
         RescueIndex::from_entries(entries)
     }

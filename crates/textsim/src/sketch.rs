@@ -7,8 +7,15 @@
 //! bodies?* (Jaccard over shingles). A MinHash sketch (Broder 1997) answers
 //! the second with bounded error in constant space, so snapshots carry
 //! `(digest, sketch)` instead of bodies.
+//!
+//! [`MinHashSketch::of`] never builds the shingle set: it folds each window
+//! hash from [`for_each_shingle`] straight into the per-permutation minima.
+//! A minimum over a multiset equals the minimum over its set, so duplicate
+//! windows change nothing, and a document is `empty` exactly when no window
+//! was produced.
 
-use crate::shingle::shingles;
+use crate::gen::fnv1a;
+use crate::shingle::for_each_shingle;
 
 /// Number of hash permutations. 32 gives a standard error of ~1/√32 ≈ 0.18
 /// per estimate; the pipeline thresholds at 0.5 when comparing sketches, far
@@ -30,9 +37,10 @@ pub struct MinHashSketch {
 impl MinHashSketch {
     /// Sketch a document with word-level `k`-shingles.
     pub fn of(text: &str, k: usize) -> MinHashSketch {
-        let set = shingles(text, k);
         let mut mins = [u64::MAX; SKETCH_SIZE];
-        for &s in &set {
+        let mut empty = true;
+        for_each_shingle(text, k, |s| {
+            empty = false;
             for (i, m) in mins.iter_mut().enumerate() {
                 // cheap family of hash functions: multiply-xor with odd
                 // constants derived from splitmix64
@@ -41,11 +49,11 @@ impl MinHashSketch {
                     *m = h;
                 }
             }
-        }
+        });
         MinHashSketch {
             mins,
             digest: fnv1a(text.as_bytes()),
-            empty: set.is_empty(),
+            empty,
         }
     }
 
@@ -92,15 +100,6 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Per-permutation salts (first 32 values of splitmix64 from seed 0xDEAD).
 const SALTS: [u64; SKETCH_SIZE] = {
     let mut salts = [0u64; SKETCH_SIZE];
@@ -120,7 +119,8 @@ const SALTS: [u64; SKETCH_SIZE] = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shingle::shingle_similarity;
+    use crate::shingle::{shingle_similarity, shingles};
+    use proptest::prelude::*;
 
     #[test]
     fn identical_docs_similarity_one() {
@@ -172,5 +172,103 @@ mod tests {
 
     fn word_doc(prefix: &str, n: usize) -> String {
         (0..n).map(|i| format!("{prefix}{i} ")).collect()
+    }
+
+    /// The original kernel, kept verbatim as the differential oracle: one
+    /// `String` per token, a `HashSet` of window hashes, and the minima
+    /// taken over that set.
+    mod reference {
+        use super::super::{fnv1a, mix, MinHashSketch, SALTS, SKETCH_SIZE};
+        use std::collections::HashSet;
+
+        pub fn shingles(text: &str, k: usize) -> HashSet<u64> {
+            let tokens: Vec<String> = text
+                .split(|c: char| !c.is_ascii_alphanumeric())
+                .filter(|t| !t.is_empty())
+                .map(|t| t.to_ascii_lowercase())
+                .collect();
+            let mut out = HashSet::new();
+            if tokens.is_empty() {
+                return out;
+            }
+            if tokens.len() < k {
+                out.insert(hash_window(&tokens));
+                return out;
+            }
+            for w in tokens.windows(k) {
+                out.insert(hash_window(w));
+            }
+            out
+        }
+
+        fn hash_window(window: &[String]) -> u64 {
+            let mut h: u64 = 0xcbf29ce484222325;
+            for tok in window {
+                for &b in tok.as_bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x100000001b3);
+                }
+                h ^= 0x1f; // token separator
+                h = h.wrapping_mul(0x100000001b3);
+            }
+            h
+        }
+
+        pub fn sketch_of(text: &str, k: usize) -> MinHashSketch {
+            let set = shingles(text, k);
+            let mut mins = [u64::MAX; SKETCH_SIZE];
+            for &s in &set {
+                for (i, m) in mins.iter_mut().enumerate() {
+                    let h = mix(s ^ SALTS[i]);
+                    if h < *m {
+                        *m = h;
+                    }
+                }
+            }
+            MinHashSketch::from_parts(mins, fnv1a(text.as_bytes()), set.is_empty())
+        }
+    }
+
+    /// Runs of ASCII letters and digits in both cases, punctuation and
+    /// whitespace, and multi-byte UTF-8 (2-, 3- and 4-byte characters,
+    /// including letters that are alphanumeric outside ASCII).
+    const MIXED_TEXT: &str =
+        "([a-zA-Z0-9]{1,7}|[ .,;:!?<>/=&#_\t\n-]{1,3}|[éÉßñΩж漢字€😀]{1,2}){0,40}";
+    /// The same alphabet in at most four pieces, so empty and
+    /// fewer-than-`k`-token inputs come up often.
+    const SHORT_TEXT: &str =
+        "([a-zA-Z0-9]{1,7}|[ .,;:!?<>/=&#_\t\n-]{1,3}|[éÉßñΩж漢字€😀]{1,2}){0,4}";
+
+    proptest! {
+        #[test]
+        fn kernel_matches_the_string_and_set_oracle(
+            text in prop_oneof![MIXED_TEXT, SHORT_TEXT],
+            k in 1usize..=6,
+        ) {
+            prop_assert_eq!(shingles(&text, k), reference::shingles(&text, k));
+            prop_assert_eq!(MinHashSketch::of(&text, k), reference::sketch_of(&text, k));
+        }
+    }
+
+    #[test]
+    fn oracle_agrees_on_edge_inputs() {
+        for text in [
+            "",
+            "   ",
+            "...!!",
+            "one",
+            "One TWO",
+            "ünïcödé wörds",
+            "a😀b€c漢d",
+            "trailing sep, ",
+            "a b a b a b",
+            "<html><head><title>T</title></head><body>x y z</body></html>",
+        ] {
+            for k in 1..=6 {
+                let case = format!("{text:?} k={k}");
+                assert_eq!(shingles(text, k), reference::shingles(text, k), "{case}");
+                assert_eq!(MinHashSketch::of(text, k), reference::sketch_of(text, k), "{case}");
+            }
+        }
     }
 }
