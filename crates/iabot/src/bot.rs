@@ -103,20 +103,16 @@ impl IaBot {
             return report;
         };
         let mut doc = article.current_doc();
-        // provenance lookups need the article immutably; collect first
-        let targets: Vec<(Url, Option<SimTime>, bool, bool)> = doc
+        let targets: Vec<(Url, bool, bool)> = doc
             .refs()
-            .map(|r| {
-                let added = article.link_provenance(&r.url).map(|p| p.added_at);
-                (r.url.clone(), added, r.is_permanently_dead(), r.is_archived())
-            })
+            .map(|r| (r.url.clone(), r.is_permanently_dead(), r.is_archived()))
             .collect();
 
         let mut edited = false;
         let availability =
             AvailabilityApi::with_default_latency(archive, 0xAB07 ^ t.as_unix() as u64);
 
-        for (url, added_at, tagged_dead, already_archived) in targets {
+        for (url, tagged_dead, already_archived) in targets {
             if (tagged_dead && !self.config.recheck_tagged_dead) || already_archived {
                 report.links_skipped += 1;
                 continue;
@@ -136,7 +132,9 @@ impl IaBot {
             }
             report.dead_found += 1;
 
-            let around = added_at.unwrap_or(t);
+            // the wiki is only written after the loop, so the article's
+            // history is still the one the sweep started from
+            let around = article.link_added_at(&url).unwrap_or(t);
             self.nonce += 1;
             let lookup = availability.closest_before(
                 &url,

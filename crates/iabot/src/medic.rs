@@ -73,7 +73,7 @@ impl WaybackMedic {
             let targets: Vec<(Url, Option<SimTime>)> = doc
                 .refs()
                 .filter(|r| r.is_permanently_dead())
-                .map(|r| (r.url.clone(), article.link_provenance(&r.url).map(|p| p.added_at)))
+                .map(|r| (r.url.clone(), article.link_added_at(&r.url)))
                 .collect();
             if targets.is_empty() {
                 continue;

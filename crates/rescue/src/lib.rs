@@ -31,6 +31,15 @@
 //! query answer — is bit-identical for any `--jobs`. Postings are rebuilt
 //! from the entry list on snapshot load ([`RescueIndex::from_entries`]),
 //! which is why only entries are serialized by `worldstore`.
+//!
+//! ## Postings
+//!
+//! Nearly every sketch minimum is unique to one page, so a map of
+//! one-element lists would spend an allocation per minimum. Each posting
+//! kind is instead one flat layout built by sorting and deduplicating the
+//! `(key, entry id)` pairs: ascending distinct keys, the start of each key's
+//! run, and the ids, ascending within each run. A lookup binary-searches
+//! the keys.
 
 use permadead_net::{SimTime, StatusCode};
 use permadead_text::gen::fnv1a;
@@ -38,7 +47,7 @@ use permadead_text::html::extract_title;
 use permadead_text::MinHashSketch;
 use permadead_web::page::PathView;
 use permadead_web::{LiveWeb, Site};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Word-level shingle size for page-body sketches — must match
@@ -103,9 +112,50 @@ impl Candidate {
 pub struct RescueIndex {
     entries: Vec<RescueEntry>,
     /// fnv1a(title token) → entry ids (ascending).
-    title_postings: BTreeMap<u64, Vec<u32>>,
+    title_postings: Postings,
     /// sketch permutation minimum → entry ids (ascending).
-    sketch_postings: BTreeMap<u64, Vec<u32>>,
+    sketch_postings: Postings,
+}
+
+/// An inverted list in one flat sorted layout: `keys` ascending and
+/// distinct, and key `keys[i]`'s entry ids, ascending, are
+/// `ids[starts[i]..starts[i + 1]]` (the last run ends at `ids.len()`).
+#[derive(Debug, Clone, PartialEq, Default)]
+struct Postings {
+    keys: Vec<u64>,
+    starts: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Postings {
+    /// Postings from `(key, entry id)` pairs in any order, duplicates
+    /// allowed.
+    fn from_pairs(mut pairs: Vec<(u64, u32)>) -> Postings {
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut keys = Vec::new();
+        let mut starts = Vec::new();
+        for (i, &(key, _)) in pairs.iter().enumerate() {
+            if keys.last() != Some(&key) {
+                keys.push(key);
+                starts.push(u32::try_from(i).expect("fewer than 2^32 postings"));
+            }
+        }
+        let ids = pairs.into_iter().map(|(_, id)| id).collect();
+        Postings { keys, starts, ids }
+    }
+
+    /// The ids posted under `key`, ascending; empty when it has none.
+    fn get(&self, key: u64) -> &[u32] {
+        let Ok(i) = self.keys.binary_search(&key) else {
+            return &[];
+        };
+        let end = self
+            .starts
+            .get(i + 1)
+            .map_or(self.ids.len(), |&s| s as usize);
+        &self.ids[self.starts[i] as usize..end]
+    }
 }
 
 impl RescueIndex {
@@ -166,26 +216,20 @@ impl RescueIndex {
     /// snapshot path). Postings are a pure function of the entries, so this
     /// reproduces [`RescueIndex::build`] exactly.
     pub fn from_entries(entries: Vec<RescueEntry>) -> RescueIndex {
-        let mut title_postings: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-        let mut sketch_postings: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        let mut title_pairs = Vec::new();
+        let mut sketch_pairs = Vec::new();
         for (id, entry) in entries.iter().enumerate() {
             let id = id as u32;
-            for tok in title_tokens(&entry.title) {
-                let posting = title_postings.entry(tok).or_default();
-                if posting.last() != Some(&id) {
-                    posting.push(id);
-                }
-            }
+            title_pairs.extend(title_tokens(&entry.title).into_iter().map(|tok| (tok, id)));
             if !entry.sketch.empty {
-                for &m in entry.sketch.mins() {
-                    let posting = sketch_postings.entry(m).or_default();
-                    if posting.last() != Some(&id) {
-                        posting.push(id);
-                    }
-                }
+                sketch_pairs.extend(entry.sketch.mins().iter().map(|&m| (m, id)));
             }
         }
-        RescueIndex { entries, title_postings, sketch_postings }
+        RescueIndex {
+            entries,
+            title_postings: Postings::from_pairs(title_pairs),
+            sketch_postings: Postings::from_pairs(sketch_pairs),
+        }
     }
 
     pub fn entries(&self) -> &[RescueEntry] {
@@ -207,15 +251,11 @@ impl RescueIndex {
     pub fn query(&self, fp: &Fingerprint, k: usize) -> Vec<Candidate> {
         let mut ids: BTreeSet<u32> = BTreeSet::new();
         for tok in title_tokens(&fp.title) {
-            if let Some(posting) = self.title_postings.get(&tok) {
-                ids.extend(posting.iter().copied());
-            }
+            ids.extend(self.title_postings.get(tok));
         }
         if !fp.sketch.empty {
             for &m in fp.sketch.mins() {
-                if let Some(posting) = self.sketch_postings.get(&m) {
-                    ids.extend(posting.iter().copied());
-                }
+                ids.extend(self.sketch_postings.get(m));
             }
         }
 
@@ -303,6 +343,7 @@ fn index_site(web: &LiveWeb, site: &Site, t: SimTime) -> Vec<RescueEntry> {
 mod tests {
     use super::*;
     use permadead_web::{Page, PageEvent, PageId, SiteId, SiteLifecycle, UnknownPathPolicy};
+    use proptest::prelude::*;
 
     fn t(y: i32) -> SimTime {
         SimTime::from_ymd(y, 6, 15)
@@ -438,6 +479,149 @@ mod tests {
             assert!(c.title_similarity < TITLE_THRESHOLD);
             assert!(c.content_similarity < SKETCH_THRESHOLD);
         }
+    }
+
+    /// The original postings, kept verbatim as the differential oracle:
+    /// one `BTreeMap` of `Vec`s per posting kind, and the query over them.
+    mod reference {
+        use super::super::{title_similarity, title_tokens, Candidate, Fingerprint, RescueEntry};
+        use std::collections::{BTreeMap, BTreeSet};
+
+        pub struct Reference {
+            pub title_postings: BTreeMap<u64, Vec<u32>>,
+            pub sketch_postings: BTreeMap<u64, Vec<u32>>,
+        }
+
+        pub fn from_entries(entries: &[RescueEntry]) -> Reference {
+            let mut title_postings: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+            let mut sketch_postings: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+            for (id, entry) in entries.iter().enumerate() {
+                let id = id as u32;
+                for tok in title_tokens(&entry.title) {
+                    let posting = title_postings.entry(tok).or_default();
+                    if posting.last() != Some(&id) {
+                        posting.push(id);
+                    }
+                }
+                if !entry.sketch.empty {
+                    for &m in entry.sketch.mins() {
+                        let posting = sketch_postings.entry(m).or_default();
+                        if posting.last() != Some(&id) {
+                            posting.push(id);
+                        }
+                    }
+                }
+            }
+            Reference { title_postings, sketch_postings }
+        }
+
+        impl Reference {
+            pub fn query(
+                &self,
+                entries: &[RescueEntry],
+                fp: &Fingerprint,
+                k: usize,
+            ) -> Vec<Candidate> {
+                let mut ids: BTreeSet<u32> = BTreeSet::new();
+                for tok in title_tokens(&fp.title) {
+                    if let Some(posting) = self.title_postings.get(&tok) {
+                        ids.extend(posting.iter().copied());
+                    }
+                }
+                if !fp.sketch.empty {
+                    for &m in fp.sketch.mins() {
+                        if let Some(posting) = self.sketch_postings.get(&m) {
+                            ids.extend(posting.iter().copied());
+                        }
+                    }
+                }
+
+                let mut candidates: Vec<Candidate> = ids
+                    .into_iter()
+                    .map(|id| {
+                        let entry = &entries[id as usize];
+                        Candidate {
+                            entry: id as usize,
+                            title_similarity: title_similarity(&fp.title, &entry.title),
+                            content_similarity: fp.sketch.similarity(&entry.sketch),
+                        }
+                    })
+                    .collect();
+                candidates.sort_by(|a, b| {
+                    b.score().total_cmp(&a.score()).then_with(|| a.entry.cmp(&b.entry))
+                });
+                candidates.truncate(k);
+                candidates
+            }
+        }
+    }
+
+    /// Titles over a six-word bank, so tokens repeat within a title and
+    /// across entries, and empty titles come up often.
+    const TITLE: &str = "((alpha|Beta|gamma|delta|ALPHA|x1)[ ,.-]{1,2}){0,5}";
+
+    /// Sketches whose minima come from a pool of eight values, so minima
+    /// repeat within a sketch and are shared across entries; empty about a
+    /// quarter of the time.
+    fn sketch() -> impl Strategy<Value = MinHashSketch> {
+        (
+            proptest::collection::vec(0u64..8, permadead_text::sketch::SKETCH_SIZE),
+            any::<u64>(),
+            0u8..4,
+        )
+            .prop_map(|(mins, digest, empty)| {
+                let mins = mins.try_into().expect("SKETCH_SIZE minima");
+                MinHashSketch::from_parts(mins, digest, empty == 0)
+            })
+    }
+
+    fn entry() -> impl Strategy<Value = RescueEntry> {
+        (TITLE, sketch()).prop_map(|(title, sketch)| RescueEntry {
+            url: String::new(),
+            title,
+            sketch,
+        })
+    }
+
+    fn fingerprint() -> impl Strategy<Value = Fingerprint> {
+        (TITLE, sketch()).prop_map(|(title, sketch)| Fingerprint { title, sketch })
+    }
+
+    fn posted(postings: &Postings) -> Vec<(u64, Vec<u32>)> {
+        postings
+            .keys
+            .iter()
+            .map(|&key| (key, postings.get(key).to_vec()))
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn flat_postings_match_the_btreemap_oracle(
+            entries in proptest::collection::vec(entry(), 0..24),
+            fps in proptest::collection::vec(fingerprint(), 1..6),
+            k in 1usize..8,
+        ) {
+            let oracle = reference::from_entries(&entries);
+            let idx = RescueIndex::from_entries(entries.clone());
+            let want = |map: &std::collections::BTreeMap<u64, Vec<u32>>| {
+                map.iter().map(|(&key, ids)| (key, ids.clone())).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(posted(&idx.title_postings), want(&oracle.title_postings));
+            prop_assert_eq!(posted(&idx.sketch_postings), want(&oracle.sketch_postings));
+            for fp in &fps {
+                prop_assert_eq!(idx.query(fp, k), oracle.query(&entries, fp, k));
+            }
+        }
+    }
+
+    #[test]
+    fn absent_keys_post_nothing() {
+        let postings = Postings::from_pairs(vec![(5, 2), (3, 1), (5, 0), (5, 2)]);
+        assert_eq!(postings.get(3), [1]);
+        assert_eq!(postings.get(5), [0, 2]);
+        assert!(postings.get(4).is_empty() && postings.get(9).is_empty());
+        assert_eq!(Postings::from_pairs(Vec::new()), Postings::default());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use permadead_core::{Dataset, IncrementalAudit, Study, StudyOptions};
 use permadead_serve::world_from_scenario;
 use permadead_sim::{Scenario, ScenarioConfig};
+use permadead_text::gen::fnv1a;
 use permadead_worldstore::World;
 
 #[test]
@@ -71,19 +72,42 @@ fn pinned_seed_snapshot_round_trip_reproduces_the_generated_audit() {
 /// that alters a single byte fails here.
 const SEED42_WORLD_FNV1A: u64 = 0x6fefb7dcb19cf37e;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// FNV-1a over the same world's replay output: every article's revisions
+/// (time, user, summary, text) in title order, then the `Debug` of the
+/// per-sweep bot reports. The snapshot above does not carry revision text,
+/// and a patched reference's `archive-url` is chosen through the link's
+/// `added_at`, so this pins what the bot sweeps write.
+const SEED42_REPLAY_FNV1A: u64 = 0x39f8f9229a085e0c;
+
+/// The bytes [`SEED42_REPLAY_FNV1A`] hashes. Every field is closed by a
+/// 0x00 byte so neighbouring fields cannot run together.
+fn replay_bytes(scenario: &Scenario) -> Vec<u8> {
+    let mut out = Vec::new();
+    for article in scenario.wiki.articles() {
+        out.extend_from_slice(article.title.as_bytes());
+        out.push(0);
+        for rev in article.revisions() {
+            out.extend_from_slice(&rev.time.0.to_le_bytes());
+            for field in [&rev.user.name, &rev.summary, &rev.text] {
+                out.extend_from_slice(field.as_bytes());
+                out.push(0);
+            }
+        }
     }
-    h
+    out.extend_from_slice(format!("{:?}", scenario.bot_reports).as_bytes());
+    out
 }
 
 #[test]
 fn pinned_seed_generated_world_bytes_are_stable() {
     let cfg = ScenarioConfig { rot_links: 400, ..ScenarioConfig::small(42) };
-    let bytes = world_from_scenario(Scenario::generate(cfg), "small").to_bytes();
+    let scenario = Scenario::generate(cfg);
+    let replay = fnv1a(&replay_bytes(&scenario));
+    assert_eq!(
+        replay, SEED42_REPLAY_FNV1A,
+        "seed-42 replay drifted (fnv1a {replay:#018x})"
+    );
+    let bytes = world_from_scenario(scenario, "small").to_bytes();
     assert_eq!(
         fnv1a(&bytes),
         SEED42_WORLD_FNV1A,

@@ -17,6 +17,8 @@
 //! - [`html`]: minimal HTML synthesis and text extraction, enough to make
 //!   responses look like documents and to strip them back to prose.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod gen;
 pub mod html;
 pub mod shingle;

@@ -38,6 +38,7 @@ const TOKEN_BYTE: [u8; 256] = {
 /// # Panics
 ///
 /// If `k` is 0.
+#[inline(always)]
 pub fn for_each_shingle(text: &str, k: usize, mut f: impl FnMut(u64)) {
     assert!(k > 0, "shingle width must be positive");
     let mut norm: Vec<u8> = Vec::with_capacity(text.len() + 1);

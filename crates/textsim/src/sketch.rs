@@ -13,6 +13,12 @@
 //! A minimum over a multiset equals the minimum over its set, so duplicate
 //! windows change nothing, and a document is `empty` exactly when no window
 //! was produced.
+//!
+//! Each window costs [`SKETCH_SIZE`] 64-bit hash-and-minimum lanes. The
+//! kernel body is compiled twice: once portable, once inside a function
+//! built with AVX-512, where LLVM vectorizes those lanes. `of` checks the
+//! CPU at run time and takes the AVX-512 copy when it can; both copies give
+//! the same bits.
 
 use crate::gen::fnv1a;
 use crate::shingle::for_each_shingle;
@@ -37,24 +43,13 @@ pub struct MinHashSketch {
 impl MinHashSketch {
     /// Sketch a document with word-level `k`-shingles.
     pub fn of(text: &str, k: usize) -> MinHashSketch {
-        let mut mins = [u64::MAX; SKETCH_SIZE];
-        let mut empty = true;
-        for_each_shingle(text, k, |s| {
-            empty = false;
-            for (i, m) in mins.iter_mut().enumerate() {
-                // cheap family of hash functions: multiply-xor with odd
-                // constants derived from splitmix64
-                let h = mix(s ^ SALTS[i]);
-                if h < *m {
-                    *m = h;
-                }
-            }
-        });
-        MinHashSketch {
-            mins,
-            digest: fnv1a(text.as_bytes()),
-            empty,
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+            // SAFETY: `of_avx512` needs exactly the two features just
+            // detected on the running CPU.
+            return unsafe { of_avx512(text, k) };
         }
+        sketch_body(text, k)
     }
 
     /// Estimated Jaccard similarity between the underlying shingle sets.
@@ -93,6 +88,40 @@ impl MinHashSketch {
     }
 }
 
+/// The same kernel compiled with AVX-512, where LLVM vectorizes the 32
+/// lanes of 64-bit multiplies and minima.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn of_avx512(text: &str, k: usize) -> MinHashSketch {
+    sketch_body(text, k)
+}
+
+/// The kernel body. It inlines, shingle loop included, into `of` and into
+/// [`of_avx512`], so each gets its own code generation.
+#[inline(always)]
+fn sketch_body(text: &str, k: usize) -> MinHashSketch {
+    let mut mins = [u64::MAX; SKETCH_SIZE];
+    let mut empty = true;
+    for_each_shingle(text, k, |s| {
+        empty = false;
+        for (m, salt) in mins.iter_mut().zip(SALTS) {
+            // cheap family of hash functions: multiply-xor with odd
+            // constants derived from splitmix64
+            *m = (*m).min(mix(s ^ salt));
+        }
+    });
+    MinHashSketch {
+        mins,
+        digest: fnv1a(text.as_bytes()),
+        empty,
+    }
+}
+
+#[inline(always)]
 fn mix(mut x: u64) -> u64 {
     // splitmix64 finalizer
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -246,7 +275,11 @@ mod tests {
             k in 1usize..=6,
         ) {
             prop_assert_eq!(shingles(&text, k), reference::shingles(&text, k));
-            prop_assert_eq!(MinHashSketch::of(&text, k), reference::sketch_of(&text, k));
+            let want = reference::sketch_of(&text, k);
+            // `of` takes the AVX-512 copy where the CPU has it, so check the
+            // portable body on its own too
+            prop_assert_eq!(sketch_body(&text, k), want);
+            prop_assert_eq!(MinHashSketch::of(&text, k), want);
         }
     }
 
@@ -267,7 +300,9 @@ mod tests {
             for k in 1..=6 {
                 let case = format!("{text:?} k={k}");
                 assert_eq!(shingles(text, k), reference::shingles(text, k), "{case}");
-                assert_eq!(MinHashSketch::of(text, k), reference::sketch_of(text, k), "{case}");
+                let want = reference::sketch_of(text, k);
+                assert_eq!(sketch_body(text, k), want, "{case}");
+                assert_eq!(MinHashSketch::of(text, k), want, "{case}");
             }
         }
     }

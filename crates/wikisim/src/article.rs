@@ -3,7 +3,8 @@
 //! The paper extracts three facts from an article's history for every
 //! permanently-dead link (§2.4): when the link was added, when it was marked
 //! permanently dead, and by which username. [`Article::link_provenance`]
-//! replays revisions to answer exactly that.
+//! replays revisions to answer exactly that; [`Article::link_added_at`]
+//! answers only the first, which is all IABot's copy lookup needs.
 
 use crate::user::User;
 use crate::wikitext::Document;
@@ -95,33 +96,36 @@ impl Article {
         self.revisions.first().map(|r| r.time)
     }
 
+    /// The revision that first cites `url`: the first whose parse has a
+    /// reference to it. The substring test only skips revisions that
+    /// cannot cite it, so a revision citing `http://e.org/10` does not count
+    /// as adding `http://e.org/1`.
+    fn link_added(&self, url: &Url) -> Option<usize> {
+        let url_str = url.to_string();
+        self.revisions.iter().position(|rev| {
+            rev.text.contains(&url_str) && Document::parse(&rev.text).ref_for(url).is_some()
+        })
+    }
+
+    /// When `url` was first cited, the date IABot's "closest-to-added-date
+    /// copy" rule (§3/§4) looks up archived copies around.
+    pub fn link_added_at(&self, url: &Url) -> Option<SimTime> {
+        self.link_added(url).map(|i| self.revisions[i].time)
+    }
+
     /// Replay history for one URL: first appearance, and first
     /// `{{dead link}}` tagging (§2.4's three data points).
     pub fn link_provenance(&self, url: &Url) -> Option<LinkProvenance> {
-        let url_str = url.to_string();
-        let mut added: Option<(&Revision, ())> = None;
-        let mut marked: Option<&Revision> = None;
-        for rev in &self.revisions {
-            if added.is_none() && rev.text.contains(&url_str) {
-                added = Some((rev, ()));
-            }
-            if added.is_some() && marked.is_none() {
-                let doc = Document::parse(&rev.text);
-                if doc
-                    .ref_for(url)
-                    .is_some_and(|r| r.is_permanently_dead())
-                {
-                    marked = Some(rev);
-                }
-            }
-            if marked.is_some() {
-                break;
-            }
-        }
-        let (added_rev, _) = added?;
+        let added = self.link_added(url)?;
+        let marked = self.revisions[added..].iter().find(|rev| {
+            Document::parse(&rev.text)
+                .ref_for(url)
+                .is_some_and(|r| r.is_permanently_dead())
+        });
+        let added = &self.revisions[added];
         Some(LinkProvenance {
-            added_at: added_rev.time,
-            added_by: added_rev.user.name.clone(),
+            added_at: added.time,
+            added_by: added.user.name.clone(),
             marked_dead_at: marked.map(|r| r.time),
             marked_dead_by: marked.map(|r| r.user.name.clone()),
         })
@@ -177,6 +181,7 @@ mod tests {
         assert_eq!(p.added_by, "Bob");
         assert_eq!(p.marked_dead_at, Some(t(2021, 2)));
         assert_eq!(p.marked_dead_by.as_deref(), Some("InternetArchiveBot"));
+        assert_eq!(a.link_added_at(&u("http://esa.example/mars")), Some(t(2010, 6)));
     }
 
     #[test]
@@ -191,9 +196,25 @@ mod tests {
     }
 
     #[test]
+    fn a_url_is_not_added_by_a_longer_url_it_prefixes() {
+        let mut a = Article::new("X");
+        let mut doc = Document::new();
+        doc.push_ref(CiteRef::cite_web(u("http://e.org/10"), "Ten"));
+        a.save_doc(t(2012, 1), User::human("Early"), &doc, "add /10");
+        doc.push_ref(CiteRef::cite_web(u("http://e.org/1"), "One"));
+        a.save_doc(t(2016, 1), User::human("Late"), &doc, "add /1");
+
+        assert_eq!(a.link_added_at(&u("http://e.org/10")), Some(t(2012, 1)));
+        assert_eq!(a.link_added_at(&u("http://e.org/1")), Some(t(2016, 1)));
+        let p = a.link_provenance(&u("http://e.org/1")).unwrap();
+        assert_eq!((p.added_at, p.added_by.as_str()), (t(2016, 1), "Late"));
+    }
+
+    #[test]
     fn provenance_absent_link() {
         let a = article_with_history();
         assert!(a.link_provenance(&u("http://never.example/x")).is_none());
+        assert_eq!(a.link_added_at(&u("http://never.example/x")), None);
     }
 
     #[test]
