@@ -8,7 +8,6 @@
 //!
 //! ```text
 //! bench-serve [--requests N] [--clients C] [--unique U] [--seed S] [--workers W]
-//!             [--reactors R] [--mode close|keepalive]
 //! ```
 //!
 //! `--unique` bounds how many distinct URLs the clients cycle through;
@@ -16,16 +15,15 @@
 //! an IABot-style consumer would see (the same contested links re-checked
 //! across many pages).
 //!
-//! `--mode close` (default) opens a fresh connection per request — the
-//! historical measurement, dominated by connection setup/teardown. `--mode
-//! keepalive` holds one connection per client and pipelines requests
-//! sequentially over it, which is what the event-driven server's HTTP/1.1
-//! keep-alive support is for; the two lines persist side by side.
+//! Every request opens a fresh connection (`Connection: close`), so the
+//! number is dominated by connection setup/teardown — the one serving shape
+//! the open-loop `perfbench` workloads, which all hold keep-alive
+//! connections, do not measure.
 //!
 //! This is a **closed-loop** bench: each client waits for a response before
 //! issuing its next request, so a server stall slows the offered load down
 //! with it and the latency percentiles hide the backlog (coordinated
-//! omission). `bench-loadgen` is the open-loop counterpart. To label these
+//! omission). `perfbench` is the open-loop measurement. To label these
 //! numbers honestly next to it, the line carries `max_ms` (the worst single
 //! response observed) and `missed_issue_slots`: how many requests were
 //! issued later than the uniform pacing implied by the client's own average
@@ -46,8 +44,6 @@ struct Opts {
     unique: usize,
     seed: u64,
     workers: usize,
-    reactors: usize,
-    keepalive: bool,
 }
 
 fn parse_opts() -> Result<Opts, String> {
@@ -57,22 +53,12 @@ fn parse_opts() -> Result<Opts, String> {
         unique: 64,
         seed: 42,
         workers: 4,
-        reactors: 1,
-        keepalive: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let value = it
             .next()
             .ok_or_else(|| format!("flag {flag} is missing its value"))?;
-        if flag == "--mode" {
-            opts.keepalive = match value.as_str() {
-                "keepalive" => true,
-                "close" => false,
-                other => return Err(format!("flag --mode must be close|keepalive, got {other:?}")),
-            };
-            continue;
-        }
         let n: u64 = value
             .parse()
             .map_err(|_| format!("flag {flag} has invalid value {value:?}"))?;
@@ -82,7 +68,6 @@ fn parse_opts() -> Result<Opts, String> {
             "--unique" => opts.unique = (n as usize).max(1),
             "--seed" => opts.seed = n,
             "--workers" => opts.workers = (n as usize).max(1),
-            "--reactors" => opts.reactors = (n as usize).max(1),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -103,49 +88,6 @@ fn get(addr: SocketAddr, path: &str) -> std::io::Result<(bool, String)> {
         .map(|(_, b)| b.to_string())
         .unwrap_or_default();
     Ok((ok, body))
-}
-
-/// One GET over an already-open keep-alive connection: write the request,
-/// read status line + headers, then exactly `Content-Length` body bytes so
-/// the stream is positioned for the next request.
-fn get_keepalive(stream: &mut TcpStream, path: &str) -> std::io::Result<bool> {
-    stream.write_all(
-        format!("GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n").as_bytes(),
-    )?;
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    // headers end at the first blank line; one-byte reads are fine here
-    // because the loopback kernel buffer makes them memcpy-cheap and the
-    // parse stays trivially correct
-    while !head.ends_with(b"\r\n\r\n") {
-        let n = stream.read(&mut byte)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-response",
-            ));
-        }
-        head.push(byte[0]);
-        if head.len() > 64 * 1024 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "response head too large",
-            ));
-        }
-    }
-    let head_text = String::from_utf8_lossy(&head);
-    let ok = head_text.starts_with("HTTP/1.1 200");
-    let content_length: usize = head_text
-        .lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse().ok())?
-        })
-        .unwrap_or(0);
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
-    Ok(ok)
 }
 
 /// Closed-loop honesty label: a client *intends* to issue its next request
@@ -194,7 +136,6 @@ fn main() -> ExitCode {
         service,
         ServerConfig {
             workers: opts.workers,
-            reactors: opts.reactors,
             // admission control is not under test here: queue deep enough
             // that the load pattern, not 503s, shapes the latency numbers
             queue_cap: (opts.clients * 4).max(64),
@@ -213,10 +154,12 @@ fn main() -> ExitCode {
         eprintln!("error: dataset produced no URLs to query");
         return ExitCode::FAILURE;
     }
-    let mode = if opts.keepalive { "keepalive" } else { "close" };
     eprintln!(
-        "[bench-serve] {} workers / {} reactor(s) on {addr}: {} requests, {} clients, {} distinct urls, {mode} mode",
-        opts.workers, opts.reactors, opts.requests, opts.clients, urls.len()
+        "[bench-serve] {} workers on {addr}: {} requests, {} clients, {} distinct urls",
+        opts.workers,
+        opts.requests,
+        opts.clients,
+        urls.len()
     );
 
     let per_client = opts.requests.div_ceil(opts.clients);
@@ -224,14 +167,10 @@ fn main() -> ExitCode {
     let mut threads = Vec::new();
     for client in 0..opts.clients {
         let urls = urls.clone();
-        let keepalive = opts.keepalive;
         threads.push(std::thread::spawn(move || {
             let mut latencies_ms = Vec::with_capacity(per_client);
             let mut issue_offsets_s = Vec::with_capacity(per_client);
             let mut errors = 0usize;
-            // keep-alive mode: one connection for the client's whole run
-            // (re-opened only if the server drops it)
-            let mut conn: Option<TcpStream> = None;
             for i in 0..per_client {
                 // stride by client so the first pass over the URL space is
                 // spread across clients instead of all hitting url[0] at once
@@ -239,23 +178,9 @@ fn main() -> ExitCode {
                 let path = format!("/check?url={}", percent_encode(url));
                 issue_offsets_s.push(t0.elapsed().as_secs_f64());
                 let t = Instant::now();
-                if keepalive {
-                    if conn.is_none() {
-                        conn = TcpStream::connect(addr).ok();
-                    }
-                    match conn.as_mut().map(|s| get_keepalive(s, &path)) {
-                        Some(Ok(true)) => latencies_ms.push(t.elapsed().as_secs_f64() * 1e3),
-                        Some(Ok(false)) => errors += 1,
-                        Some(Err(_)) | None => {
-                            errors += 1;
-                            conn = None;
-                        }
-                    }
-                } else {
-                    match get(addr, &path) {
-                        Ok((true, _)) => latencies_ms.push(t.elapsed().as_secs_f64() * 1e3),
-                        Ok((false, _)) | Err(_) => errors += 1,
-                    }
+                match get(addr, &path) {
+                    Ok((true, _)) => latencies_ms.push(t.elapsed().as_secs_f64() * 1e3),
+                    Ok((false, _)) | Err(_) => errors += 1,
                 }
             }
             (latencies_ms, issue_offsets_s, errors)
@@ -299,17 +224,16 @@ fn main() -> ExitCode {
         format!("{:.3}", latencies_ms.iter().cloned().fold(f64::MIN, f64::max))
     };
     let line = format!(
-        "{{\"bench\":\"serve/loopback\",\"loop\":\"closed\",\"mode\":\"{mode}\",\
+        "{{\"bench\":\"serve/loopback\",\"loop\":\"closed\",\"mode\":\"close\",\
          \"requests\":{completed},\
          \"errors\":{errors},\
-         \"clients\":{},\"workers\":{},\"reactors\":{},\"unique_urls\":{},\
+         \"clients\":{},\"workers\":{},\"unique_urls\":{},\
          \"elapsed_s\":{elapsed_s:.3},\
          \"requests_per_sec\":{:.1},\"p50_ms\":{},\"p99_ms\":{},\"max_ms\":{max_ms},\
          \"missed_issue_slots\":{missed_issue_slots},\
          \"cache_hit_ratio\":{hit_ratio:.4}}}",
         opts.clients,
         opts.workers,
-        opts.reactors,
         urls.len(),
         completed as f64 / elapsed_s.max(1e-9),
         pct(50.0),

@@ -7,7 +7,6 @@
 pub use permadead_archive as archive;
 pub use permadead_bot as bot;
 pub use permadead_core as analysis;
-pub use permadead_loadgen as loadgen;
 pub use permadead_net as net;
 pub use permadead_policy as policy;
 pub use permadead_rescue as rescue;

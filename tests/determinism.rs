@@ -171,85 +171,112 @@ fn policy_lab_timelines_identical_across_worker_counts() {
     }
 }
 
-/// The load generator's determinism contract: a schedule is a pure function
-/// of `(spec, universe)` — bit-identical timeline AND URL stream on every
-/// regeneration — and the injector pool is only an execution detail: firing
-/// the same schedule with 1, 2, or 8 injector threads must sample exactly
-/// the same arrivals (every scheduled instant fired once, none invented,
-/// none dropped). This is what makes `bench-loadgen` numbers comparable
-/// across machines with different `--injectors` settings.
+/// The multi-reactor serving contract over random traffic: `--reactors N`
+/// may only change which thread owns a connection, never an answer. One
+/// 1-reactor server and two 2-reactor servers (the `SO_REUSEPORT` group and
+/// the accept hand-off fallback) over the same world receive the same
+/// seeded random sequence — dataset URLs, unknown URLs, repeats and
+/// `/batch` bodies in random order, one connection per request so both
+/// reactors serve — and must return the identical status and body for
+/// every request and land on the identical cache ledger.
 #[test]
-fn loadgen_schedule_identical_across_injector_thread_counts() {
-    use permadead::loadgen::{
-        fire, ArrivalProcess, InjectorConfig, Schedule, ScheduleSpec, WatchPumpSpec,
-    };
+fn reactor_count_never_changes_answers_over_random_request_mixes() {
+    use permadead::serve::{start, AuditService, CacheConfig, ServerConfig, ServerHandle};
+    use permadead::sim::ScenarioConfig;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use std::io::{Read, Write};
-    use std::net::TcpListener;
+    use std::net::{SocketAddr, TcpStream};
 
-    let s = scenario();
-    let ranks = &s.web.ranks;
-    let universe: Vec<(String, u32)> = dataset()
-        .entries
-        .iter()
-        .take(48)
-        .map(|e| (e.url.to_string(), ranks.rank(e.url.host())))
-        .collect();
-
-    let spec = ScheduleSpec {
-        process: ArrivalProcess::Poisson { rate_hz: 400.0 },
-        duration_secs: 0.5,
-        seed: 42,
-        watch_pump: Some(WatchPumpSpec { rate_hz: 20.0, batch: 3 }),
-        ..ScheduleSpec::default()
-    };
-    let schedule = Schedule::generate(&spec, &universe);
-    assert!(schedule.len() > 100, "schedule too small to exercise the pool");
-    // pure regeneration: same timeline, same URLs, same watch bodies
-    assert_eq!(schedule, Schedule::generate(&spec, &universe));
-
-    // a minimal always-200 stub so the injector has something to hit
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
-    let addr = listener.local_addr().expect("stub addr");
-    std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            let Ok(mut stream) = conn else { break };
-            let mut buf = [0u8; 4096];
-            let mut seen = Vec::new();
-            loop {
-                match stream.read(&mut buf) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => {
-                        seen.extend_from_slice(&buf[..n]);
-                        if seen.windows(4).any(|w| w == b"\r\n\r\n") {
-                            break;
-                        }
-                    }
+    fn exchange(addr: SocketAddr, request: &str) -> (String, String) {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(request.as_bytes()).expect("write");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read");
+        let (head, body) = response.split_once("\r\n\r\n").expect("response head");
+        (
+            head.lines().next().unwrap_or("").to_string(),
+            body.to_string(),
+        )
+    }
+    fn encode(url: &str) -> String {
+        url.bytes()
+            .map(|b| match b {
+                b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
+                    (b as char).to_string()
                 }
-            }
-            let _ = stream.write_all(
-                b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok",
-            );
-        }
-    });
+                _ => format!("%{b:02X}"),
+            })
+            .collect()
+    }
+    let spawn = |reactors: usize, reuseport: bool| -> ServerHandle {
+        let world = ScenarioConfig {
+            rot_links: 40,
+            ..ScenarioConfig::small(7)
+        };
+        let service = AuditService::new(world, CacheConfig::default());
+        start(
+            service,
+            ServerConfig {
+                workers: 2,
+                reactors,
+                reuseport,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("server starts")
+    };
+    let servers = [spawn(1, true), spawn(2, true), spawn(2, false)];
+    assert!(servers[1].reuseport_active() && !servers[2].reuseport_active());
 
-    // ties sort deterministically by (instant, phase); the injector's merge
-    // only orders by instant, so normalize both sides the same way
-    let mut expected: Vec<(u64, &str)> = schedule
-        .requests
-        .iter()
-        .map(|r| (r.at_nanos, r.op.phase()))
-        .collect();
-    expected.sort_unstable();
-    for threads in [1usize, 2, 8] {
-        let samples = fire(
-            addr,
-            &schedule,
-            &InjectorConfig { threads, ..InjectorConfig::default() },
+    let mut pool = servers[0].service().sample_urls(16);
+    assert!(pool.len() >= 8, "dataset too small to draw from");
+    pool.extend((0..4).map(|i| format!("http://unknown-{i}.example.org/page/{i}")));
+    for seed in [1u64, 7, 42, 1234] {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..40 {
+            let request = if rng.gen_bool(0.25) {
+                let body: String = (0..rng.gen_range(1..5usize))
+                    .map(|_| format!("{}\n", pool[rng.gen_range(0..pool.len())]))
+                    .collect();
+                format!(
+                    "POST /batch HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                    body.len()
+                )
+            } else {
+                let url = &pool[rng.gen_range(0..pool.len())];
+                format!(
+                    "GET /check?url={} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+                    encode(url)
+                )
+            };
+            let expected = exchange(servers[0].addr(), &request);
+            assert!(expected.0.contains("200"), "{request:?} -> {expected:?}");
+            for server in &servers[1..] {
+                assert_eq!(
+                    exchange(server.addr(), &request),
+                    expected,
+                    "seed {seed}: answer diverged with {} reactors (reuseport {})",
+                    server.reactor_count(),
+                    server.reuseport_active()
+                );
+            }
+        }
+    }
+    let ledger = servers[0].service().cache_stats();
+    assert!(
+        ledger.hits > 0 && ledger.misses > 0,
+        "mix must both hit and miss: {ledger:?}"
+    );
+    for server in &servers[1..] {
+        assert_eq!(
+            server.service().cache_stats(),
+            ledger,
+            "cache ledger diverged"
         );
-        let mut fired: Vec<(u64, &str)> =
-            samples.iter().map(|s| (s.scheduled_nanos, s.phase)).collect();
-        fired.sort_unstable();
-        assert_eq!(fired, expected, "arrival stream diverged at threads={threads}");
+    }
+    for server in servers {
+        server.shutdown();
     }
 }
 
